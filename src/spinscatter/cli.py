@@ -91,6 +91,15 @@ def _resolve_range(args) -> tuple[float, float]:
     return lo, hi
 
 
+def _csv(header: str, columns) -> str:
+    """CSV text with one row per position in the columns.  "%.12g" gives
+    the same string as `_fmt` (format(x, ".12g")), -0, nan and inf
+    included, at about half the cost per value."""
+    row = ",".join(["%.12g"] * len(columns))
+    lines = [header] + [row % values for values in zip(*(c.tolist() for c in columns))]
+    return "\n".join(lines) + "\n"
+
+
 def cmd_sweep(args) -> int:
     lo, hi = _resolve_range(args)
     if args.points < 2:
@@ -98,25 +107,21 @@ def cmd_sweep(args) -> int:
         return 1
     grid = np.linspace(lo, hi, args.points)
 
-    lines = []
     if args.mode == "ideal":
-        lines.append("x,P,C,E")
-        for p in ideal.sweep_ideal(grid):
-            lines.append(",".join(_fmt(v) for v in (p.jt, p.p_down, p.concurrence, p.eof)))
+        p = ideal.sweep_ideal(grid)
+        text = _csv("x,P,C,E", (p.jt, p.p_down, p.concurrence, p.eof))
     else:
-        lines.append("x,P,C,E,abs_A,abs_B,abs_C,P_up")
-        for p in scattering.sweep_scatter(grid):
-            lines.append(",".join(_fmt(v) for v in (
-                p.j_rho, p.p_down, p.concurrence, p.eof,
-                p.abs_a, p.abs_b, p.abs_c, p.p_up)))
+        p = scattering.sweep_scatter(grid)
+        text = _csv("x,P,C,E,abs_A,abs_B,abs_C,P_up", (
+            p.j_rho, p.p_down, p.concurrence, p.eof, p.abs_a, p.abs_b, p.abs_c, p.p_up))
 
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {len(lines) - 1} rows to {args.out}")
+    print(f"wrote {grid.size} rows to {args.out}")
     return 0
 
 
@@ -168,11 +173,7 @@ def cmd_simulate(args) -> int:
     if args.initial is None:
         psi0 = ideal.initial_state(n)
     else:
-        try:
-            psi0 = _parse_initial(args.initial, n)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        psi0 = _parse_initial(args.initial, n)
 
     psi = ideal.simulate_sequential(psi0, args.jt, n)
     n_sites = n + 1
@@ -207,11 +208,17 @@ def cmd_simulate(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "sweep":
-        return cmd_sweep(args)
-    if args.command == "find-optimal":
-        return cmd_find_optimal(args)
-    return cmd_simulate(args)
+    try:
+        if args.command == "sweep":
+            return cmd_sweep(args)
+        if args.command == "find-optimal":
+            return cmd_find_optimal(args)
+        return cmd_simulate(args)
+    except ValueError as exc:
+        # a value argparse accepts but the models reject: a negative
+        # coupling, a NaN angle, a range beyond the series, a bad --initial
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -5,6 +5,9 @@ Basis convention (fixed repo-wide): site 0 is the electron spin, sites
 sum_i b_i * 2**(n-1-i) with b_i = 0 for up and 1 for down, i.e. site 0
 is the most significant bit.  States are 1-D complex ndarrays of length
 2**n_sites, operators are square 2-D complex ndarrays.
+
+`ComplexArray` and `pow2` are the complex and float arithmetic the
+model sweeps share: whole grids, rounded as Python rounds one point.
 """
 
 from __future__ import annotations
@@ -63,10 +66,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim != b.ndim or a.ndim not in (1, 2):
         raise ValueError("kron requires two states or two operators, not a mix")
     return np.kron(a, b)
-
-
-def is_unitary(u: np.ndarray, atol: float = ATOL) -> bool:
-    return np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= atol
 
 
 def apply_on_sites(u: np.ndarray, sites: list[int], state: np.ndarray) -> np.ndarray:
@@ -161,3 +160,76 @@ def check_density_matrix(rho: np.ndarray, atol: float = ATOL) -> None:
         raise ValueError("density matrix trace differs from 1")
     if np.linalg.eigvalsh(rho).min() < -1e-10:
         raise ValueError("density matrix has a significantly negative eigenvalue")
+
+
+class ComplexArray:
+    """Complex numbers held as separate float64 real and imaginary parts
+    (arrays or scalars), with the arithmetic of Python's `complex`: the
+    textbook product (ar*br - ai*bi, ar*bi + ai*br), binary powering for
+    integer powers and hypot for the modulus.
+
+    numpy's complex128 loops multiply, square and take moduli with vector
+    code that rounds differently from these formulas in the last bits, as
+    often as the CPU's vector extensions make it.  Built from separately
+    rounded float64 operations, a whole grid gets the same bits as one
+    point at a time with Python complex numbers.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0.0):
+        self.re, self.im = re, im
+
+    @staticmethod
+    def _parts(other):
+        if isinstance(other, ComplexArray):
+            return other.re, other.im
+        other = complex(other)  # a Python number, as `complex` converts it
+        return other.real, other.imag
+
+    def __add__(self, other):
+        re, im = self._parts(other)
+        return ComplexArray(self.re + re, self.im + im)
+
+    def __sub__(self, other):
+        re, im = self._parts(other)
+        return ComplexArray(self.re - re, self.im - im)
+
+    def __rsub__(self, other):
+        re, im = self._parts(other)
+        return ComplexArray(re - self.re, im - self.im)
+
+    def __mul__(self, other):
+        re, im = self._parts(other)
+        return ComplexArray(self.re * re - self.im * im, self.re * im + self.im * re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, divisor):
+        """Division by a real divisor (a float or a float array), which is
+        what Python's complex division by (d, 0) reduces to."""
+        return ComplexArray(self.re / divisor, self.im / divisor)
+
+    def __pow__(self, n: int):
+        """Integer power n >= 1 by CPython's binary powering: the same
+        products, in the same order."""
+        result, base = None, self
+        while True:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if not n:
+                return result
+            base = base * base
+
+    def __abs__(self):
+        return np.hypot(self.re, self.im)
+
+    def __complex__(self) -> complex:
+        return complex(self.re, self.im)
+
+
+def pow2(x):
+    """x ** 2 as Python computes it for a float: libm's pow(x, 2.0), which
+    rounds differently from x * x for about one value in a thousand."""
+    return np.float_power(x, 2.0)

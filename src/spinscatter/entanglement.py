@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import check_density_matrix
+
 # Raw concurrence values in (-CLAMP_NEGATIVE, 0) are round-off and clamp
 # to zero; anything more negative is a bug in the caller.
 CLAMP_NEGATIVE = 1e-9
@@ -17,20 +19,28 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
-def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0."""
-    if x < -1e-12 or x > 1.0 + 1e-12:
-        raise ValueError(f"binary_entropy argument {x} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+def binary_entropy(x):
+    """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0.
+
+    Elementwise over an array; a scalar gives a float.
+    """
+    x = np.asarray(x, dtype=float)
+    outside = (x < -1e-12) | (x > 1.0 + 1e-12)
+    if outside.any():
+        raise ValueError(f"binary_entropy argument {x[outside][0]} outside [0, 1]")
+    x = np.clip(x, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+    h = np.where((x == 0.0) | (x == 1.0), 0.0, h)
+    return h if h.ndim else float(h)
 
 
-def _clamp_concurrence(raw: float) -> float:
-    if raw < -CLAMP_NEGATIVE:
-        raise ValueError(f"concurrence {raw} is negative beyond round-off")
-    return min(max(raw, 0.0), 1.0)
+def _clamp_concurrence(raw):
+    raw = np.asarray(raw, dtype=float)
+    negative = raw < -CLAMP_NEGATIVE
+    if negative.any():
+        raise ValueError(f"concurrence {raw[negative][0]} is negative beyond round-off")
+    return np.clip(raw, 0.0, 1.0)
 
 
 def concurrence_pure(amps: np.ndarray) -> float:
@@ -41,13 +51,16 @@ def concurrence_pure(amps: np.ndarray) -> float:
     nrm = np.linalg.norm(amps)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"input state is not normalized (norm {nrm})")
-    return _clamp_concurrence(2.0 * abs(amps[0] * amps[3] - amps[1] * amps[2]))
+    return float(_clamp_concurrence(2.0 * abs(amps[0] * amps[3] - amps[1] * amps[2])))
 
 
-def eof_from_concurrence(c: float) -> float:
-    """Entanglement of formation E = h((1 + sqrt(1 - C^2)) / 2)."""
+def eof_from_concurrence(c):
+    """Entanglement of formation E = h((1 + sqrt(1 - C^2)) / 2).
+
+    Elementwise over an array; a scalar gives a float.
+    """
     c = _clamp_concurrence(c)
-    return binary_entropy((1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+    return binary_entropy((1.0 + np.sqrt(np.fmax(1.0 - c * c, 0.0))) / 2.0)
 
 
 def concurrence_mixed(rho: np.ndarray) -> float:
@@ -62,8 +75,6 @@ def concurrence_mixed(rho: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError("mixed-state concurrence needs a 4x4 density matrix")
-    from .core import check_density_matrix
-
     check_density_matrix(rho)
 
     vals, vecs = np.linalg.eigh(rho)

@@ -19,8 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import PSI_MINUS, PSI_PLUS, apply_on_sites, basis_state
+from .core import PSI_MINUS, ComplexArray, apply_on_sites, basis_state, pow2
 from .entanglement import eof_from_concurrence
+
+# Grid of the scan that brackets the constrained optimum.
+OPTIMUM_SCAN_POINTS = 20001
 
 
 @dataclass(frozen=True)
@@ -28,18 +31,20 @@ class IdealCoefficients:
     """Unnormalized final-state triple (alpha, beta, gamma) and the
     common prefactor exp(-2i jt)/2 of the two-impurity closed form."""
 
-    alpha: complex
-    beta: complex
-    gamma: complex
-    global_phase: complex
+    alpha: complex | np.ndarray
+    beta: complex | np.ndarray
+    gamma: complex | np.ndarray
+    global_phase: complex | np.ndarray
 
 
 @dataclass(frozen=True)
 class IdealPoint:
-    jt: float
-    p_down: float
-    concurrence: float
-    eof: float
+    """One angle (float fields) or a grid of them (array fields)."""
+
+    jt: float | np.ndarray
+    p_down: float | np.ndarray
+    concurrence: float | np.ndarray
+    eof: float | np.ndarray
 
 
 def exchange_unitary(jt: float) -> np.ndarray:
@@ -52,9 +57,11 @@ def exchange_unitary(jt: float) -> np.ndarray:
     return np.exp(3j * jt) * singlet + np.exp(-1j * jt) * triplet
 
 
-def closed_form_coefficients(jt: float) -> IdealCoefficients:
-    """Final-state coefficients for electron-up, both impurities down."""
-    if not np.isfinite(jt):
+def closed_form_coefficients(jt) -> IdealCoefficients:
+    """Final-state coefficients for electron-up, both impurities down;
+    elementwise over an array of angles."""
+    jt = np.asarray(jt, dtype=float)
+    if not np.all(np.isfinite(jt)):
         raise ValueError("jt must be finite")
     z = np.exp(4j * jt)
     return IdealCoefficients(
@@ -92,6 +99,17 @@ def simulate_sequential(initial: np.ndarray, jt: float, n_impurities: int) -> np
     return psi
 
 
+def _evaluate(jt) -> IdealPoint:
+    c = closed_form_coefficients(jt)
+    beta = ComplexArray(c.beta.real, c.beta.imag)
+    gamma = ComplexArray(c.gamma.real, c.gamma.imag)
+    b2, g2 = pow2(abs(beta)), pow2(abs(gamma))
+    p_down = (b2 + g2) / 4.0
+    conc = np.divide(2.0 * abs(beta * gamma), b2 + g2,
+                     out=np.zeros_like(p_down), where=p_down > 0.0)
+    return IdealPoint(jt=jt, p_down=p_down, concurrence=conc, eof=eof_from_concurrence(conc))
+
+
 def ideal_point(jt: float) -> IdealPoint:
     """Success probability and post-selected entanglement at one angle.
 
@@ -100,23 +118,16 @@ def ideal_point(jt: float) -> IdealPoint:
     impurity state beta|ud> + gamma|du> (zero by convention when the
     outcome never occurs).
     """
-    c = closed_form_coefficients(jt)
-    b2, g2 = abs(c.beta) ** 2, abs(c.gamma) ** 2
-    p_down = (b2 + g2) / 4.0
-    if p_down > 0.0:
-        conc = 2.0 * abs(c.beta * c.gamma) / (b2 + g2)
-    else:
-        conc = 0.0
-    return IdealPoint(jt=jt, p_down=p_down, concurrence=conc, eof=eof_from_concurrence(conc))
+    point = _evaluate(np.asarray(jt, dtype=float))
+    return IdealPoint(**{name: float(v) for name, v in vars(point).items()})
 
 
-def sweep_ideal(jt_grid) -> list[IdealPoint]:
+def sweep_ideal(jt_grid) -> IdealPoint:
+    """`ideal_point` over a grid of angles, as arrays."""
     grid = np.asarray(jt_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("grid values must be finite")
-    return [ideal_point(float(jt)) for jt in grid]
+    return _evaluate(grid)
 
 
 def initial_state(n_impurities: int) -> np.ndarray:
@@ -128,7 +139,6 @@ def best_probability_at_entanglement(
     target_eof: float,
     lo: float = 0.0,
     hi: float = np.pi / 2,
-    n_scan: int = 20001,
 ) -> IdealPoint | None:
     """Point maximizing p_down subject to eof >= target on [lo, hi].
 
@@ -138,16 +148,17 @@ def best_probability_at_entanglement(
     """
     if not 0.0 <= target_eof <= 1.0:
         raise ValueError("target entanglement must lie in [0, 1]")
-    grid = np.linspace(lo, hi, n_scan)
+    grid = np.linspace(lo, hi, OPTIMUM_SCAN_POINTS)
     pts = sweep_ideal(grid)
-    feasible = [i for i, p in enumerate(pts) if p.eof >= target_eof]
-    if not feasible:
+    feasible = pts.eof >= target_eof
+    if not feasible.any():
         return None
-    best = max(feasible, key=lambda i: pts[i].p_down)
+    # first index of the largest feasible p_down
+    best = int(np.argmax(np.where(feasible, pts.p_down, -np.inf)))
 
     # Refine along the edge toward the infeasible neighbor with larger p.
     for nb in (best - 1, best + 1):
-        if 0 <= nb < len(pts) and pts[nb].eof < target_eof and pts[nb].p_down > pts[best].p_down:
+        if 0 <= nb < grid.size and pts.eof[nb] < target_eof and pts.p_down[nb] > pts.p_down[best]:
             a, b = grid[best], grid[nb]
             for _ in range(200):
                 m = 0.5 * (a + b)
@@ -156,6 +167,6 @@ def best_probability_at_entanglement(
                 else:
                     b = m
             refined = ideal_point(a)
-            if refined.p_down > pts[best].p_down:
+            if refined.p_down > pts.p_down[best]:
                 return refined
-    return pts[best]
+    return ideal_point(grid[best])

@@ -70,11 +70,9 @@ def test_criterion_2_high_entanglement_operating_points():
     gives E = 0.98756.
     """
     pts = sweep_ideal(np.linspace(0.0, np.pi / 2, 100_001))
-    eof = np.array([p.eof for p in pts])
-    p_down = np.array([p.p_down for p in pts])
+    eof, p_down = pts.eof, pts.p_down
 
-    point_b = any(abs(p.eof - 0.84) <= 0.01 and abs(p.p_down - 0.86) <= 0.02
-                  for p in pts)
+    point_b = bool(np.any((abs(eof - 0.84) <= 0.01) & (abs(p_down - 0.86) <= 0.02)))
     ok_b = report("criterion 2b: point with E=0.84+/-0.01, P=0.86+/-0.02", point_b)
 
     # Bound of the strict reading, from the entanglement measure alone:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinscatter.cli import main
+from spinscatter.cli import _csv, _fmt, main
 from spinscatter.entanglement import eof_from_concurrence
 from spinscatter.ideal import best_probability_at_entanglement, ideal_point
 from spinscatter.scattering import find_max_entanglement, scatter_point
@@ -71,6 +71,33 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--mode", "bogus", "--out", "x.csv"])
         assert exc.value.code == 1
+
+    def test_bulk_format_matches_fmt(self):
+        values = [0.0, -0.0, 1.0, -2.5, 1 / 3, 1e-300, 5e-324, 1.7976931348623157e308,
+                  123456789012.5, 0.1 + 0.2, float("nan"), float("inf"), float("-inf")]
+        columns = (np.array(values), np.array(values[::-1]))
+        expected = "h\n" + "".join(f"{_fmt(a)},{_fmt(b)}\n" for a, b in zip(*columns))
+        assert _csv("h", columns) == expected
+
+
+class TestLibraryErrors:
+    """Values argparse accepts but the models reject: one error line, exit 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--mode", "scatter", "--min", "-1", "--points", "3", "--out", "x.csv"],
+        ["find-optimal", "--mode", "scatter", "--max", "3"],
+        ["simulate", "--impurities", "2", "--jt", "nan"],
+        ["sweep", "--mode", "scatter", "--max", "1e30", "--points", "3", "--out", "x.csv"],
+    ], ids=["negative-coupling", "range-beyond-series", "nan-angle", "series-overflow"])
+    @pytest.mark.filterwarnings("ignore:.*outside the series validity range")
+    def test_one_error_line(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestFindOptimal:

@@ -198,3 +198,22 @@ def test_check_density_matrix_rejects_bad_input():
         core.check_density_matrix(np.array([[0.7, 0.5], [0.1, 0.3]], dtype=complex))
     with pytest.raises(ValueError):
         core.check_density_matrix(np.diag([0.7, 0.7]).astype(complex))
+
+
+def test_complex_array_rounds_as_python_complex():
+    # reference: Python's own complex and float arithmetic, one value at a time
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(2, 2000)) * 10.0 ** rng.integers(-3, 4, size=(2, 2000))
+    y = rng.normal(size=(2, 2000))
+    za, zb = core.ComplexArray(*x), core.ComplexArray(*y)
+    pairs = [complex(*p) for p in x.T], [complex(*p) for p in y.T]
+    results = [(za * zb, [a * b for a, b in zip(*pairs)]),
+               (1.0 - za + zb, [1.0 - a + b for a, b in zip(*pairs)]),
+               (-7 * za, [-7 * a for a in pairs[0]]),
+               (za / y[1], [a / d for a, d in zip(pairs[0], y[1].tolist())])]
+    results += [(za**n, [a**n for a in pairs[0]]) for n in range(1, 8)]
+    for got, want in results:
+        assert got.re.tolist() == [w.real for w in want]
+        assert got.im.tolist() == [w.imag for w in want]
+    assert abs(za).tolist() == [abs(a) for a in pairs[0]]
+    assert core.pow2(x[0]).tolist() == [v**2 for v in x[0].tolist()]

@@ -155,20 +155,22 @@ class TestIdealPoint:
 
 class TestSweepIdeal:
     def test_single_zero_point(self):
-        (p,) = sweep_ideal([0.0])
-        assert (p.jt, p.p_down, p.concurrence, p.eof) == (0.0, 0.0, 0.0, 0.0)
+        p = sweep_ideal([0.0])
+        assert [v.tolist() for v in (p.jt, p.p_down, p.concurrence, p.eof)] == [[0.0]] * 4
 
     def test_pointwise_consistency(self):
         grid = [0.0, np.pi / 8, np.pi / 4]
-        for swept, jt in zip(sweep_ideal(grid), grid):
+        swept = sweep_ideal(grid)
+        for i, jt in enumerate(grid):
             direct = ideal_point(jt)
-            assert swept == direct
+            for name, value in vars(direct).items():
+                assert getattr(swept, name)[i] == value
 
     def test_grid_contains_swap_point(self):
         pts = sweep_ideal(np.linspace(0, np.pi / 2, 1001))
-        best = max(pts, key=lambda p: p.p_down)
-        assert best.p_down == pytest.approx(1.0, abs=1e-12)
-        assert best.eof == pytest.approx(0.0, abs=1e-12)
+        best = pts.p_down.argmax()
+        assert pts.p_down[best] == pytest.approx(1.0, abs=1e-12)
+        assert pts.eof[best] == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -180,9 +182,7 @@ class TestBestProbability:
         # oracle: exhaustive scan of the closed form
         pts = sweep_ideal(np.linspace(0, np.pi / 2, 50_001))
         for target in (0.84, 0.95, 0.99):
-            oracle = max(
-                (p.p_down for p in pts if p.eof >= target), default=None
-            )
+            oracle = pts.p_down[pts.eof >= target].max()
             found = best_probability_at_entanglement(target)
             assert found is not None and found.eof >= target
             assert found.p_down >= oracle - 1e-9

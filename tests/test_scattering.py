@@ -165,8 +165,16 @@ class TestFindMaxEntanglement:
 
 def test_sweep_scatter_matches_pointwise():
     grid = [0.0, 0.5, 1.0]
-    for swept, j in zip(sweep_scatter(grid), grid):
-        assert swept == scatter_point(j)
+    swept = sweep_scatter(grid)
+    for i, j in enumerate(grid):
+        for name, value in vars(scatter_point(j)).items():
+            assert getattr(swept, name)[i] == value
+
+
+def test_sweep_warns_once_with_count():
+    with pytest.warns(UserWarning, match=r"^3 of 5 j_rho values outside") as record:
+        sweep_scatter([1.0, 2.0, 2.5, 3.0, 4.0])
+    assert len(record) == 1
 
 
 def test_sweep_scatter_rejects_empty():
